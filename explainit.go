@@ -36,8 +36,8 @@ import (
 	"explainit/internal/cluster"
 	"explainit/internal/connector"
 	"explainit/internal/core"
-	"explainit/internal/obs"
 	"explainit/internal/monitor"
+	"explainit/internal/obs"
 	"explainit/internal/rescache"
 	"explainit/internal/sqlexec"
 	ts "explainit/internal/timeseries"
@@ -58,8 +58,8 @@ type Client struct {
 	famOrder []string
 	// famGen counts registry mutations; it keys cached rankings to the
 	// registry build they were computed against (see cache.go).
-	famGen  uint64
-	rcache  atomic.Pointer[rescache.Cache]
+	famGen uint64
+	rcache atomic.Pointer[rescache.Cache]
 	// SQL-layer caches (sqlcache.go): compiled physical plans keyed by
 	// statement text, and pushed-down scan relations validated against the
 	// store's ingest watermarks.

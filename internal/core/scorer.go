@@ -268,27 +268,7 @@ func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *
 	if explainRows != nil {
 		// Train on everything, report explained variance on the explain
 		// range only.
-		lambda, err := bestLambda(ctx, x, y, s.grid(), s.folds())
-		if err != nil {
-			return 0, err
-		}
-		model, err := regress.FitRidge(x, y, lambda)
-		if err != nil {
-			return 0, err
-		}
-		xe, err := x.SelectRows(explainRows)
-		if err != nil {
-			return 0, err
-		}
-		ye, err := y.SelectRows(explainRows)
-		if err != nil {
-			return 0, err
-		}
-		pred, err := model.Predict(xe)
-		if err != nil {
-			return 0, err
-		}
-		return stats.ExplainedVarianceMean(ye, pred), nil
+		return regress.ExplainRangeScoreCtx(ctx, x, y, s.grid(), s.folds(), explainRows)
 	}
 	_, endCV := obs.StartSpan(ctx, "cv")
 	score, err := regress.CrossValidatedScoreCtx(ctx, x, y, s.grid(), s.folds())

@@ -97,32 +97,59 @@ func naiveL2Score(x, y, z *linalg.Matrix, grid []float64, k int, explainRows []i
 func TestL2ScorerMatchesNaivePipeline(t *testing.T) {
 	type tcase struct {
 		name        string
-		n, p, pz    int
+		n, p, q, pz int
 		explainFrom int // -1 disables explainRows
 		explainTo   int
+		largeMean   bool // column 0 of X has mean 1e4 times its std
+		constInFold bool // column 0 of X is constant on fold 1's validation block
 	}
 	cases := []tcase{
-		{"plain-tall", 120, 10, 0, -1, -1},
-		{"plain-wide-dual", 40, 90, 0, -1, -1},
-		{"conditional", 150, 12, 4, -1, -1},
-		{"conditional-wide", 36, 80, 3, -1, -1},
-		{"explain-range", 100, 8, 0, 60, 90},
-		{"conditional-explain", 120, 9, 5, 30, 70},
-		{"tiny-fallback", 8, 3, 0, -1, -1}, // too few rows for 5 folds
+		{"plain-tall", 120, 10, 1, 0, -1, -1, false, false},
+		{"plain-wide-dual", 40, 90, 1, 0, -1, -1, false, false},
+		{"conditional", 150, 12, 1, 4, -1, -1, false, false},
+		{"conditional-wide", 36, 80, 1, 3, -1, -1, false, false},
+		{"explain-range", 100, 8, 1, 0, 60, 90, false, false},
+		{"conditional-explain", 120, 9, 1, 5, 30, 70, false, false},
+		{"tiny-fallback", 8, 3, 1, 0, -1, -1, false, false}, // too few rows for 5 folds
+		// The benchmark's EXPLAIN shapes: a 60-row explain range over 240
+		// rows, one column each (rca-narrow) or 20 each (rca-wide).
+		{"rca-narrow", 240, 1, 1, 1, 180, 240, false, false},
+		{"rca-wide", 240, 20, 20, 20, 180, 240, false, false},
+		{"rca-wide-cv", 240, 20, 20, 20, -1, -1, false, false},
+		{"large-mean", 120, 4, 1, 0, -1, -1, true, false},
+		{"large-mean-explain", 120, 4, 1, 0, 20, 50, true, false},
+		{"const-in-fold", 120, 4, 2, 0, 60, 100, false, true},
+		{"ragged-folds", 241, 6, 1, 2, -1, -1, false, false},
+		{"ragged-folds-explain", 241, 6, 1, 2, 100, 161, false, false},
+		// p equals every fold's training-row count (the primal/dual
+		// boundary); the full-window fit stays primal.
+		{"boundary", 60, 48, 1, 0, -1, -1, false, false},
+		{"boundary-explain", 60, 48, 1, 0, 10, 30, false, false},
+		{"explain-dual", 40, 60, 1, 0, 10, 30, false, false},
+		{"explain-tiny", 8, 3, 1, 0, 2, 6, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.n + tc.p)))
 			x := linalg.GaussianMatrix(rng, tc.n, tc.p)
-			y := linalg.NewMatrix(tc.n, 1)
+			y := linalg.NewMatrix(tc.n, tc.q)
 			var z *linalg.Matrix
 			if tc.pz > 0 {
 				z = linalg.GaussianMatrix(rng, tc.n, tc.pz)
 			}
 			for i := 0; i < tc.n; i++ {
-				y.Data[i] = 0.8*x.At(i, 0) + 0.4*rng.NormFloat64()
-				if z != nil {
-					y.Data[i] += 0.5 * z.At(i, 0)
+				for j := 0; j < tc.q; j++ {
+					v := 0.8*x.At(i, j%tc.p) + 0.4*rng.NormFloat64()
+					if z != nil {
+						v += 0.5 * z.At(i, j%tc.pz)
+					}
+					y.Set(i, j, v)
+				}
+				if tc.largeMean {
+					x.Set(i, 0, 1e4+x.At(i, 0))
+				}
+				if tc.constInFold && i >= tc.n/5 && i < 2*tc.n/5 {
+					x.Set(i, 0, 0.3)
 				}
 			}
 			var explainRows []int

@@ -12,17 +12,29 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := choleskyInto(l, a, 0, 0); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// choleskyInto factors a + (shift+jitter)·I into the lower triangle of l,
+// reading a's diagonal as (a_jj + shift) + jitter — the exact value a copy
+// of a passed through AddDiag(shift) then AddDiag(jitter) would hold — so
+// the factor is bitwise identical to factoring such a copy, without making
+// it. a is only read. l's strict upper triangle is left untouched.
+func choleskyInto(l, a *Matrix, shift, jitter float64) error {
 	n := a.Rows
-	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
 		var d float64
 		lrowj := l.Row(j)
 		for k := 0; k < j; k++ {
 			d += lrowj[k] * lrowj[k]
 		}
-		d = a.At(j, j) - d
+		d = a.At(j, j) + shift + jitter - d
 		if d <= 0 {
-			return nil, fmt.Errorf("%w: pivot %d = %g", ErrSingular, j, d)
+			return fmt.Errorf("%w: pivot %d = %g", ErrSingular, j, d)
 		}
 		ljj := math.Sqrt(d)
 		lrowj[j] = ljj
@@ -36,38 +48,30 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			lrowi[j] = (a.At(i, j) - s) * inv
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // SolveCholesky solves a * X = b for X given the Cholesky factor L of a,
 // using forward then backward substitution. b may have multiple columns.
 func SolveCholesky(l, b *Matrix) (*Matrix, error) {
+	x := b.Clone()
+	if err := SolveCholeskyInPlace(l, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveCholeskyInPlace is SolveCholesky overwriting b with the solution —
+// the allocation-free variant for hot loops that own their right-hand side.
+// Only the lower triangle of l is read.
+func SolveCholeskyInPlace(l, b *Matrix) error {
 	n := l.Rows
 	if b.Rows != n {
-		return nil, fmt.Errorf("%w: solve %dx%d with rhs %dx%d", ErrShape, n, n, b.Rows, b.Cols)
+		return fmt.Errorf("%w: solve %dx%d with rhs %dx%d", ErrShape, n, n, b.Rows, b.Cols)
 	}
-	// Forward substitution: L * Y = B.
-	y := b.Clone()
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		yi := y.Row(i)
-		for k := 0; k < i; k++ {
-			lik := li[k]
-			if lik == 0 {
-				continue
-			}
-			yk := y.Row(k)
-			for j := range yi {
-				yi[j] -= lik * yk[j]
-			}
-		}
-		inv := 1 / li[i]
-		for j := range yi {
-			yi[j] *= inv
-		}
-	}
+	forwardSubstInPlace(l, b)
 	// Backward substitution: L^T * X = Y.
-	x := y
+	x := b
 	for i := n - 1; i >= 0; i-- {
 		xi := x.Row(i)
 		for k := i + 1; k < n; k++ {
@@ -75,7 +79,7 @@ func SolveCholesky(l, b *Matrix) (*Matrix, error) {
 			if lki == 0 {
 				continue
 			}
-			xk := x.Row(k)
+			xk := x.Row(k)[:len(xi)]
 			for j := range xi {
 				xi[j] -= lki * xk[j]
 			}
@@ -85,7 +89,7 @@ func SolveCholesky(l, b *Matrix) (*Matrix, error) {
 			xi[j] *= inv
 		}
 	}
-	return x, nil
+	return nil
 }
 
 // ForwardSubst solves L * Y = B for lower-triangular L by forward
@@ -98,7 +102,13 @@ func ForwardSubst(l, b *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("%w: forward subst %dx%d rhs %dx%d", ErrShape, l.Rows, l.Cols, b.Rows, b.Cols)
 	}
 	y := b.Clone()
-	for i := 0; i < n; i++ {
+	forwardSubstInPlace(l, y)
+	return y, nil
+}
+
+// forwardSubstInPlace overwrites y with L⁻¹·y.
+func forwardSubstInPlace(l, y *Matrix) {
+	for i := 0; i < l.Rows; i++ {
 		li := l.Row(i)
 		yi := y.Row(i)
 		for k := 0; k < i; k++ {
@@ -106,7 +116,7 @@ func ForwardSubst(l, b *Matrix) (*Matrix, error) {
 			if lik == 0 {
 				continue
 			}
-			yk := y.Row(k)
+			yk := y.Row(k)[:len(yi)]
 			for j := range yi {
 				yi[j] -= lik * yk[j]
 			}
@@ -116,7 +126,6 @@ func ForwardSubst(l, b *Matrix) (*Matrix, error) {
 			yi[j] *= inv
 		}
 	}
-	return y, nil
 }
 
 // CholeskySPD factors a symmetric positive definite a, retrying with a small
@@ -126,26 +135,54 @@ func ForwardSubst(l, b *Matrix) (*Matrix, error) {
 // (e.g. the ridge λ grid) can cache the returned factor and feed it to
 // SolveCholesky with many right-hand sides.
 func CholeskySPD(a *Matrix) (*Matrix, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		jittered := a.Clone()
-		// Scale jitter to the matrix magnitude so it is negligible for
-		// well-conditioned problems but sufficient for degenerate ones.
-		scale := jittered.MaxAbs()
-		if scale == 0 {
-			scale = 1
-		}
-		jittered.AddDiag(scale * 1e-8)
-		l, err = Cholesky(jittered)
-		if err != nil {
-			jittered = a.Clone().AddDiag(scale * 1e-4)
-			l, err = Cholesky(jittered)
-			if err != nil {
-				return nil, err
+	l := NewMatrix(a.Rows, a.Cols)
+	if err := CholeskySPDInto(l, a, 0); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// CholeskySPDInto is CholeskySPD of a + shift·I written into l (a.Rows
+// square, overwritten) without materialising the shifted matrix or any
+// jittered copy: the factor is bitwise identical to
+// CholeskySPD(a.Clone().AddDiag(shift)). a is only read, so a λ-free Gram
+// can be factored at every point of a ridge grid in one reused buffer.
+func CholeskySPDInto(l, a *Matrix, shift float64) error {
+	if a.Rows != a.Cols || l.Rows != a.Rows || l.Cols != a.Cols {
+		return fmt.Errorf("%w: cholesky of %dx%d into %dx%d", ErrShape, a.Rows, a.Cols, l.Rows, l.Cols)
+	}
+	for i := range l.Data {
+		l.Data[i] = 0
+	}
+	if choleskyInto(l, a, shift, 0) == nil {
+		return nil
+	}
+	// Scale jitter to the matrix magnitude so it is negligible for
+	// well-conditioned problems but sufficient for degenerate ones.
+	scale := maxAbsShifted(a, shift)
+	if scale == 0 {
+		scale = 1
+	}
+	if choleskyInto(l, a, shift, scale*1e-8) == nil {
+		return nil
+	}
+	return choleskyInto(l, a, shift, scale*1e-4)
+}
+
+// maxAbsShifted is (a + shift·I).MaxAbs() without forming the sum.
+func maxAbsShifted(a *Matrix, shift float64) float64 {
+	var max float64
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			if j == i {
+				v += shift
+			}
+			if v = math.Abs(v); v > max {
+				max = v
 			}
 		}
 	}
-	return l, nil
+	return max
 }
 
 // SolveSPD solves a * X = b for a symmetric positive definite a, with the

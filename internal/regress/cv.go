@@ -19,8 +19,9 @@ type Fold struct {
 
 // FoldRange is the range form of a time-series fold: validation rows are
 // the contiguous block [From, To) and training rows are the complement
-// [0, From) ∪ [To, n). Representing folds as ranges lets the CV loop build
-// each train matrix with two block copies instead of per-row index gathers.
+// [0, From) ∪ [To, n). Representing folds as ranges lets the CV loop
+// summarize each block's moments once and combine them per fold instead
+// of gathering rows.
 type FoldRange struct {
 	From, To int
 }
@@ -193,25 +194,34 @@ func CrossValidate(fit Fitter, x, y *linalg.Matrix, grid []float64, folds []Fold
 	return res, nil
 }
 
-// CrossValidateRidge is the factorization-cached ridge CV path. For each
-// fold it assembles the train matrix once from the two contiguous blocks
-// around the validation range, standardizes and Grams it once, and then
-// sweeps the λ grid at the cost of one Cholesky + triangular solve per
-// point — Θ(k) Gram computations instead of Θ(L·k). Scores are identical
-// (to float64 rounding) to CrossValidate(RidgeFitter, ...) over the
-// equivalent index folds: the per-fold arithmetic is unchanged, only the
-// λ-independent work is hoisted out of the grid loop.
+// CrossValidateRidge is ridge CV over contiguous folds computed from
+// centered cross-moments rather than from per-fold row copies. One sweep
+// over the rows summarizes [X | Y] as segments cut at every fold boundary
+// (per segment: column means and centered cross-moments). For each fold
+// whose training rows outnumber the features (the primal regime), the
+// training complement and the validation block are combined from those
+// segments in O(k·(p+q)²), the training columns are standardized from the
+// moments' diagonal (the effStd policy of StandardizeColumns), and each λ
+// costs one Cholesky and solve of the p×p standardized Gram; the
+// validation r² comes from the block's moments, not from predictions. No
+// rows are copied and the fold and λ loops do not allocate. Folds in the
+// dual regime (more features than training rows) refit from a copy of
+// their training rows through RidgeDesign, as FitRidge would.
+//
+// Scores match CrossValidate(RidgeFitter, ...) over the equivalent index
+// folds within 1e-9, not bitwise: the moment path reorders the
+// floating-point accumulation.
 func CrossValidateRidge(x, y *linalg.Matrix, grid []float64, folds []FoldRange) (CVResult, error) {
 	return CrossValidateRidgeCtx(context.Background(), x, y, grid, folds)
 }
 
 // CrossValidateRidgeCtx is CrossValidateRidge with cooperative cancellation:
-// the context is polled once per fold (the unit of non-trivial work — one
-// Gram + λ sweep), so a cancelled ranking abandons a candidate within one
-// fold's worth of compute. A cancelled run returns ctx.Err(), including for
-// a context cancelled before the first fold. The Done channel is hoisted
-// out of the fold loop (ctxpoll), so an uncancellable context costs nothing
-// per fold and a cancellable one costs a lock-free channel poll.
+// the context is polled once per fold, so a cancelled ranking abandons a
+// candidate within one fold's worth of compute. A cancelled run returns
+// ctx.Err(), including for a context cancelled before the first fold. The
+// Done channel is hoisted out of the fold loop (ctxpoll), so an
+// uncancellable context costs nothing per fold and a cancellable one costs
+// a lock-free channel poll.
 func CrossValidateRidgeCtx(ctx context.Context, x, y *linalg.Matrix, grid []float64, folds []FoldRange) (CVResult, error) {
 	if len(grid) == 0 {
 		return CVResult{}, fmt.Errorf("regress: empty lambda grid")
@@ -222,54 +232,63 @@ func CrossValidateRidgeCtx(ctx context.Context, x, y *linalg.Matrix, grid []floa
 	if x.Rows != y.Rows {
 		return CVResult{}, fmt.Errorf("regress: x has %d rows, y has %d", x.Rows, y.Rows)
 	}
+	for _, f := range folds {
+		if f.From < 0 || f.To > x.Rows || f.From >= f.To {
+			return CVResult{}, fmt.Errorf("%w: fold [%d,%d) of %d rows", linalg.ErrShape, f.From, f.To, x.Rows)
+		}
+	}
+	var m *momentCV // built once if any fold is primal
+	for _, f := range folds {
+		if x.Cols > 0 && primalFold(x, f) {
+			m = newMomentCV(x, y, folds)
+			break
+		}
+	}
 	poll := ctxpoll.New(ctx, 1)
-	totals := make([]float64, len(grid))
+	return crossValidateRidge(&poll, x, y, grid, folds, m)
+}
+
+// primalFold reports whether fold f's training rows outnumber x's
+// features — the regime in which FitRidge solves the p×p primal system.
+func primalFold(x *linalg.Matrix, f FoldRange) bool {
+	return x.Cols <= x.Rows-(f.To-f.From)
+}
+
+// crossValidateRidge runs the fold × λ sweep over validated arguments. m
+// holds the moments of x and y segmented at the folds' boundaries; it may
+// be nil only when no fold is primal.
+func crossValidateRidge(poll *ctxpoll.Poll, x, y *linalg.Matrix, grid []float64, folds []FoldRange, m *momentCV) (CVResult, error) {
+	res := CVResult{PerLambda: make([]float64, len(grid)), BestLambda: grid[0], Score: -1}
 	used := make([]int, len(grid))
 	for _, f := range folds {
 		if err := poll.Check(); err != nil {
 			return CVResult{}, err
 		}
-		if f.From < 0 || f.To > x.Rows || f.From >= f.To {
-			return CVResult{}, fmt.Errorf("%w: fold [%d,%d) of %d rows", linalg.ErrShape, f.From, f.To, x.Rows)
+		if x.Cols == 0 {
+			continue // no features: every fit is degenerate (matches CrossValidate)
 		}
-		xTrain := excludeRows(x, f.From, f.To)
-		yTrain := excludeRows(y, f.From, f.To)
-		xVal, err := x.SliceRows(f.From, f.To)
-		if err != nil {
-			return CVResult{}, err
-		}
-		yVal, err := y.SliceRows(f.From, f.To)
-		if err != nil {
-			return CVResult{}, err
-		}
-		design, err := NewRidgeDesign(xTrain)
-		if err != nil {
-			continue // degenerate fold: skip, not fatal (matches CrossValidate)
-		}
-		target, err := design.Prepare(yTrain)
-		if err != nil {
+		if !primalFold(x, f) {
+			if err := dualFold(x, y, grid, f, res.PerLambda, used); err != nil {
+				return CVResult{}, err
+			}
 			continue
 		}
-		// One prediction buffer per fold, reused across the λ grid.
-		pred := linalg.NewMatrix(xVal.Rows, y.Cols)
+		m.rows = m.combine(f.From, f.To, false, m.mean, m.mom)
+		m.prepare()
+		m.evRows = m.combine(f.From, f.To, true, m.evMean, m.evMom)
 		for gi, lambda := range grid {
-			model, err := target.Fit(lambda)
-			if err != nil {
-				continue
+			if m.solve(lambda) != nil {
+				continue // singular fold: skip, not fatal (matches CrossValidate)
 			}
-			if err := model.PredictInto(xVal, pred); err != nil {
-				continue
-			}
-			totals[gi] += stats.ExplainedVarianceMean(yVal, pred)
+			res.PerLambda[gi] += m.explainedVariance()
 			used[gi]++
 		}
 	}
-	res := CVResult{PerLambda: make([]float64, len(grid)), BestLambda: grid[0], Score: -1}
 	for gi, lambda := range grid {
 		if used[gi] == 0 {
 			continue
 		}
-		score := totals[gi] / float64(used[gi])
+		score := res.PerLambda[gi] / float64(used[gi])
 		res.PerLambda[gi] = score
 		if score > res.Score {
 			res.Score = score
@@ -282,6 +301,42 @@ func CrossValidateRidgeCtx(ctx context.Context, x, y *linalg.Matrix, grid []floa
 	return res, nil
 }
 
+// dualFold scores one dual-regime fold (more features than training rows)
+// the direct way: copy the training rows, factor their n×n outer Gram once
+// and sweep the grid, adding each λ's validation explained variance into
+// totals.
+func dualFold(x, y *linalg.Matrix, grid []float64, f FoldRange, totals []float64, used []int) error {
+	xVal, err := x.SliceRows(f.From, f.To)
+	if err != nil {
+		return err
+	}
+	yVal, err := y.SliceRows(f.From, f.To)
+	if err != nil {
+		return err
+	}
+	design, err := NewRidgeDesign(excludeRows(x, f.From, f.To))
+	if err != nil {
+		return nil // degenerate fold: skip, not fatal (matches CrossValidate)
+	}
+	target, err := design.Prepare(excludeRows(y, f.From, f.To))
+	if err != nil {
+		return nil
+	}
+	pred := linalg.NewMatrix(xVal.Rows, y.Cols)
+	for gi, lambda := range grid {
+		model, err := target.Fit(lambda)
+		if err != nil {
+			continue
+		}
+		if err := model.PredictInto(xVal, pred); err != nil {
+			continue
+		}
+		totals[gi] += stats.ExplainedVarianceMean(yVal, pred)
+		used[gi]++
+	}
+	return nil
+}
+
 // excludeRows copies all rows of m except the block [from, to) into a new
 // matrix: two contiguous copies instead of a per-row gather.
 func excludeRows(m *linalg.Matrix, from, to int) *linalg.Matrix {
@@ -289,6 +344,77 @@ func excludeRows(m *linalg.Matrix, from, to int) *linalg.Matrix {
 	copy(out.Data, m.Data[:from*m.Cols])
 	copy(out.Data[from*m.Cols:], m.Data[to*m.Cols:])
 	return out
+}
+
+// ExplainRangeScoreCtx is the range-to-explain score of §3.5: it selects λ
+// by k-fold time-series CV over all rows (the middle of grid when there
+// are too few rows for k folds), fits ridge on all rows at that λ and
+// returns the explained variance (ExplainedVarianceMean) of the fit on the
+// given rows only. In the primal regime (features ≤ rows) the CV, the
+// full-window fit and the evaluation all come from one moment summary of
+// the rows plus the moments of the explain rows, with no row copies or
+// predictions; otherwise it refits through FitRidge and predicts the
+// selected rows. Matches that reference pipeline within 1e-9. The context
+// is polled once per fold.
+func ExplainRangeScoreCtx(ctx context.Context, x, y *linalg.Matrix, grid []float64, k int, rows []int) (float64, error) {
+	if len(grid) == 0 {
+		return 0, fmt.Errorf("regress: empty lambda grid")
+	}
+	if x.Rows != y.Rows {
+		return 0, fmt.Errorf("regress: x has %d rows, y has %d", x.Rows, y.Rows)
+	}
+	lambda := grid[len(grid)/2]
+	folds, ferr := TimeSeriesFoldRanges(x.Rows, k)
+	if x.Cols == 0 || x.Cols > x.Rows {
+		if ferr == nil {
+			res, err := CrossValidateRidgeCtx(ctx, x, y, grid, folds)
+			if err != nil {
+				return 0, err
+			}
+			lambda = res.BestLambda
+		}
+		return explainRangeRefit(x, y, lambda, rows)
+	}
+	m := newMomentCV(x, y, folds) // folds is nil when ferr != nil: one segment
+	if ferr == nil {
+		poll := ctxpoll.New(ctx, 1)
+		res, err := crossValidateRidge(&poll, x, y, grid, folds, m)
+		if err != nil {
+			return 0, err
+		}
+		lambda = res.BestLambda
+	}
+	m.rows = m.combine(0, 0, false, m.mean, m.mom)
+	m.prepare()
+	if err := m.solve(lambda); err != nil {
+		return 0, err
+	}
+	if err := m.gather(x, y, rows); err != nil {
+		return 0, err
+	}
+	return m.explainedVariance(), nil
+}
+
+// explainRangeRefit is the dual-regime range score: a full FitRidge at
+// lambda evaluated on the selected rows.
+func explainRangeRefit(x, y *linalg.Matrix, lambda float64, rows []int) (float64, error) {
+	model, err := FitRidge(x, y, lambda)
+	if err != nil {
+		return 0, err
+	}
+	xe, err := x.SelectRows(rows)
+	if err != nil {
+		return 0, err
+	}
+	ye, err := y.SelectRows(rows)
+	if err != nil {
+		return 0, err
+	}
+	pred, err := model.Predict(xe)
+	if err != nil {
+		return 0, err
+	}
+	return stats.ExplainedVarianceMean(ye, pred), nil
 }
 
 // CrossValidatedScore is the one-call entry the scorers use: k-fold

@@ -105,27 +105,79 @@ func naiveCrossValidateRidge(x, y *linalg.Matrix, grid []float64, k int) (CVResu
 	return CrossValidate(RidgeFitter, x, y, grid, folds)
 }
 
+// cvShape names a column pattern the moment-based CV path must handle
+// exactly like the refit-from-scratch reference.
+type cvShape int
+
+const (
+	shapeGaussian     cvShape = iota
+	shapeLargeMean            // column 0 has mean 1e4 times its std
+	shapeConstInFold          // column 1 is constant on fold 1's validation block
+	shapeConstInTrain         // column 1 is constant outside fold 1's validation block
+)
+
+// cvInputs draws an n×p design of the given shape and a q-column target
+// with real structure, so BestLambda is not a toss-up.
+func cvInputs(n, p, q, k int, shape cvShape, seed int64) (x, y *linalg.Matrix) {
+	rng := rand.New(rand.NewSource(seed))
+	x = linalg.GaussianMatrix(rng, n, p)
+	from, to := n/k, 2*n/k // fold 1's validation block
+	for i := 0; i < n; i++ {
+		switch shape {
+		case shapeLargeMean:
+			x.Set(i, 0, 1e4+x.At(i, 0))
+		case shapeConstInFold:
+			if i >= from && i < to {
+				x.Set(i, 1, 0.3)
+			}
+		case shapeConstInTrain:
+			if i < from || i >= to {
+				x.Set(i, 1, 0.3)
+			}
+		}
+	}
+	y = linalg.NewMatrix(n, q)
+	for i := 0; i < n; i++ {
+		for t := 0; t < q; t++ {
+			x0 := x.At(i, t%p)
+			if shape == shapeLargeMean && t%p == 0 {
+				x0 -= 1e4
+			}
+			y.Set(i, t, x0-0.5*x.At(i, p-1)+0.3*rng.NormFloat64())
+		}
+	}
+	return x, y
+}
+
 func TestCrossValidateRidgeMatchesNaive(t *testing.T) {
 	cases := []struct {
-		name    string
-		n, p, k int
-		grid    []float64
+		name       string
+		n, p, q, k int
+		grid       []float64
+		shape      cvShape
 	}{
-		{"tall", 120, 8, 5, DefaultLambdaGrid},
-		{"tall-k3", 60, 10, 3, DefaultLambdaGrid},
-		{"wide-dual", 40, 100, 4, DefaultLambdaGrid},
-		{"tiny", 30, 2, 2, WideLambdaGrid},
-		{"near-square", 48, 30, 5, DefaultLambdaGrid},
+		{"tall", 120, 8, 1, 5, DefaultLambdaGrid, shapeGaussian},
+		{"tall-k3", 60, 10, 1, 3, DefaultLambdaGrid, shapeGaussian},
+		{"wide-dual", 40, 100, 1, 4, DefaultLambdaGrid, shapeGaussian},
+		{"tiny", 30, 2, 1, 2, WideLambdaGrid, shapeGaussian},
+		{"near-square", 48, 30, 1, 5, DefaultLambdaGrid, shapeGaussian},
+		// The benchmark's candidate shapes: one column (rca-narrow) and 20
+		// columns against a 20-column target (rca-wide).
+		{"rca-narrow", 240, 1, 1, 5, DefaultLambdaGrid, shapeGaussian},
+		{"rca-wide", 240, 20, 20, 5, DefaultLambdaGrid, shapeGaussian},
+		{"large-mean", 120, 5, 1, 5, WideLambdaGrid, shapeLargeMean},
+		{"const-in-fold", 120, 4, 2, 5, DefaultLambdaGrid, shapeConstInFold},
+		{"const-in-train", 120, 4, 2, 5, WideLambdaGrid, shapeConstInTrain},
+		{"ragged-folds", 241, 6, 1, 5, DefaultLambdaGrid, shapeGaussian},
+		// p equals every fold's training-row count: the primal/dual boundary.
+		{"boundary", 60, 48, 1, 5, DefaultLambdaGrid, shapeGaussian},
+		// Folds of 49 and 48 training rows around p = 49: primal and dual
+		// folds in one run.
+		{"boundary-mixed", 61, 49, 1, 5, DefaultLambdaGrid, shapeGaussian},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(tc.n * tc.p)))
-			x := linalg.GaussianMatrix(rng, tc.n, tc.p)
-			// Give the target real structure so BestLambda is not a toss-up.
-			y := linalg.NewMatrix(tc.n, 1)
-			for i := 0; i < tc.n; i++ {
-				y.Data[i] = x.At(i, 0) - 0.5*x.At(i, tc.p-1) + 0.3*rng.NormFloat64()
-			}
+			x, y := cvInputs(tc.n, tc.p, tc.q, tc.k, tc.shape, int64(tc.n*tc.p))
 			want, err := naiveCrossValidateRidge(x, y, tc.grid, tc.k)
 			if err != nil {
 				t.Fatal(err)

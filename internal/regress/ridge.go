@@ -273,7 +273,7 @@ func (d *RidgeDesign) extendFactor(lambda float64) *linalg.Matrix {
 	}
 	s := linalg.NewMatrix(m, m)
 	for i := 0; i < m; i++ {
-		copy(s.Row(i), d.gram.Row(p1+i)[p1:])
+		copy(s.Row(i), d.gram.Row(p1 + i)[p1:])
 	}
 	s.AddDiag(lambda + 1e-10)
 	yty := y.Gram()
@@ -404,23 +404,59 @@ func (d *RidgeDesign) Fit(y *linalg.Matrix, lambda float64) (*Model, error) {
 
 // Residualize returns y - ŷ where ŷ is the in-sample ridge prediction of y
 // from the design's own rows at penalty lambda. It reuses the cached
-// standardized X, so no per-call standardization or Gram is needed —
-// this is the scorer's conditioning step (§3.5) done once per Z.
+// standardized X and factor, so no per-call standardization or Gram is
+// needed — this is the scorer's conditioning step (§3.5) done once per Z.
+// In the primal regime Xᵀ(y − ȳ) is accumulated straight from y, and the
+// prediction is fused into the subtraction, so the residual matrix is the
+// only n-row allocation.
 func (d *RidgeDesign) Residualize(y *linalg.Matrix, lambda float64) (*linalg.Matrix, error) {
-	model, err := d.Fit(y, lambda)
-	if err != nil {
-		return nil, err
+	if y.Rows != d.xs.Rows {
+		return nil, fmt.Errorf("regress: x has %d rows, y has %d", d.xs.Rows, y.Rows)
 	}
-	pred, err := d.xs.Mul(model.Coef)
-	if err != nil {
-		return nil, err
+	var coef *linalg.Matrix
+	var yMeans []float64
+	if d.primal {
+		l, err := d.factor(lambda)
+		if err != nil {
+			return nil, err
+		}
+		yMeans = y.ColMeans()
+		coef = linalg.NewMatrix(d.xs.Cols, y.Cols)
+		for r := 0; r < y.Rows; r++ {
+			yr := y.Row(r)
+			for i, v := range d.xs.Row(r) {
+				if v == 0 {
+					continue
+				}
+				crow := coef.Row(i)
+				for j, yv := range yr {
+					crow[j] += v * (yv - yMeans[j])
+				}
+			}
+		}
+		if err := linalg.SolveCholeskyInPlace(l, coef); err != nil {
+			return nil, err
+		}
+	} else {
+		model, err := d.Fit(y, lambda)
+		if err != nil {
+			return nil, err
+		}
+		coef, yMeans = model.Coef, model.YMeans
 	}
-	out := y.Clone()
-	for i := 0; i < out.Rows; i++ {
-		orow := out.Row(i)
-		prow := pred.Row(i)
-		for j := range orow {
-			orow[j] -= prow[j] + model.YMeans[j]
+	out := linalg.NewMatrix(y.Rows, y.Cols)
+	for r := 0; r < y.Rows; r++ {
+		or := out.Row(r)
+		for k, v := range d.xs.Row(r) {
+			if v == 0 {
+				continue
+			}
+			for j, c := range coef.Row(k) {
+				or[j] += v * c
+			}
+		}
+		for j, yv := range y.Row(r) {
+			or[j] = yv - (or[j] + yMeans[j])
 		}
 	}
 	return out, nil

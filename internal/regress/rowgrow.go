@@ -1,8 +1,6 @@
 package regress
 
 import (
-	"math"
-
 	"explainit/internal/linalg"
 )
 
@@ -76,42 +74,27 @@ func ExtendDesignRows(prev *RidgeDesign, prevRaw, grown *linalg.Matrix) (*RidgeD
 	}
 	ct := tail.Gram()
 
-	// Combined centered moments at the old mean, then shifted to the grown
-	// window's mean m2 = m1 + d: C2 = C1 + Ct − n2·d·dᵀ.
+	// Combined moments about the old mean, then shifted to the grown
+	// window's mean m2 = m1 + d by the parallel-axis step:
+	// C2 = C1 + Ct − n2·d·dᵀ.
 	d2 := make([]float64, p)
 	m2 := make([]float64, p)
 	for j := range d2 {
 		d2[j] = tc[j] / float64(n2)
 		m2[j] = m1[j] + d2[j]
 	}
-	c2 := linalg.NewMatrix(p, p)
+	gram := linalg.NewMatrix(p, p)
 	for i := 0; i < p; i++ {
 		grow := prev.gram.Row(i)
 		crow := ct.Row(i)
-		orow := c2.Row(i)
+		orow := gram.Row(i)
 		for j := 0; j < p; j++ {
-			orow[j] = grow[j]*e1[i]*e1[j] + crow[j] - float64(n2)*d2[i]*d2[j]
+			orow[j] = grow[j]*e1[i]*e1[j] + crow[j]
 		}
 	}
-
-	// Restandardize: variances sit on C2's diagonal.
+	parallelAxisShift(gram.Data, p, -float64(n2), d2)
 	s2 := make([]float64, p)
-	e2 := make([]float64, p)
-	for j := 0; j < p; j++ {
-		v := c2.At(j, j) / float64(n2)
-		if v < 0 {
-			v = 0
-		}
-		s2[j] = math.Sqrt(v)
-		e2[j] = effStd(s2[j])
-	}
-	gram := c2
-	for i := 0; i < p; i++ {
-		row := gram.Row(i)
-		for j := 0; j < p; j++ {
-			row[j] /= e2[i] * e2[j]
-		}
-	}
+	standardizeMoments(gram.Data, p, p, n2, s2)
 
 	xs := grown.Clone().ApplyStandardization(m2, s2)
 	return &RidgeDesign{

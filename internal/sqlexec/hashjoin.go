@@ -119,9 +119,9 @@ func newHashJoinIter(n *PlanNode) *hashJoinIter {
 		rex[i] = k.rightExpr
 	}
 	return &hashJoinIter{
-		n:     n,
-		left:  newIterator(n.Children[0]),
-		right: newIterator(n.Children[1]),
+		n:      n,
+		left:   newIterator(n.Children[0]),
+		right:  newIterator(n.Children[1]),
 		lexprs: lex,
 		rexprs: rex,
 	}

@@ -733,10 +733,10 @@ func (h *topkHeap) before(a, b *topkEntry) bool {
 	return a.seq < b.seq
 }
 
-func (h *topkHeap) Len() int            { return len(h.entries) }
-func (h *topkHeap) Less(i, j int) bool  { return h.before(&h.entries[j], &h.entries[i]) }
-func (h *topkHeap) Swap(i, j int)       { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *topkHeap) Push(x interface{})  { h.entries = append(h.entries, x.(topkEntry)) }
+func (h *topkHeap) Len() int           { return len(h.entries) }
+func (h *topkHeap) Less(i, j int) bool { return h.before(&h.entries[j], &h.entries[i]) }
+func (h *topkHeap) Swap(i, j int)      { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
+func (h *topkHeap) Push(x interface{}) { h.entries = append(h.entries, x.(topkEntry)) }
 func (h *topkHeap) Pop() interface{} {
 	n := len(h.entries)
 	e := h.entries[n-1]

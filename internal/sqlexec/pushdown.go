@@ -243,11 +243,11 @@ func applyPushdown(where sp.Expr, schema *Relation, scans []*scanSlot) {
 // the enclosing joined schema. tsIdx/metricIdx/tagIdx are absolute column
 // indexes of the canonical columns (-1 when the table lacks them).
 type scanSlot struct {
-	node                   *PlanNode
-	lo, hi                 int
-	capable                bool
+	node                     *PlanNode
+	lo, hi                   int
+	capable                  bool
 	tsIdx, metricIdx, tagIdx int
-	pending                *ScanSpec
+	pending                  *ScanSpec
 }
 
 func (sl *scanSlot) spec() *ScanSpec {

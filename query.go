@@ -215,4 +215,3 @@ func (c *Client) explainPlanStream(ctx context.Context, plan sqlexec.ExplainPlan
 	}()
 	return out, nil
 }
-
